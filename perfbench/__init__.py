@@ -1,0 +1,5 @@
+"""Spec-to-bytes benchmark of the rough-surface generator.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+"""
