@@ -357,7 +357,7 @@ def apply_kernel_valid_fft(
         kernel, (bx, by), dt, xp
     )
     factor = kernel.plan_scale  # undoes the plan's normalisation
-    out = xp.empty((onx, ony), dt)
+    out = None
     step_x = bx - kx + 1
     step_y = by - ky + 1
     for x0 in range(0, onx, step_x):
@@ -370,6 +370,11 @@ def apply_kernel_valid_fft(
             spec *= plan.kfft
             with obs.trace("engine.fft.inverse"):
                 conv = xp.irfft2(spec, s=(bx, by))
+            # allocated once the spectrum is gone, so the output never
+            # coexists with both transforms: a lower per-tile peak
+            del spec
+            if out is None:
+                out = xp.empty((onx, ony), dt)
             obs.add("engine.fft.forward_ffts")
             obs.add("engine.fft.inverse_ffts")
             obs.add("engine.fft.blocks")
@@ -665,6 +670,7 @@ def _apply_kernels_valid_fft(
                     outs[m][x0 : x0 + nx_blk, y0 : y0 + ny_blk] = conv[
                         px : px + nx_blk, py : py + ny_blk
                     ]
+                    del conv  # not alive during the next kernel's transform
     for m, _plan, _px, _py in plans:
         factor = kernels[m].plan_scale
         if factor != 1.0:
@@ -870,10 +876,9 @@ class ConvolutionGenerator:
     ) -> HeightField:
         """Window ``[x0, x0+nx) x [y0, y0+ny)`` of the infinite surface."""
         with traced(self, trace, "generate_window"):
-            heights = generate_window(
-                self.kernel, noise, x0, y0, nx, ny, engine=self.engine,
-                dtype=self.dtype,
-            )
+            window = noise.window(*self.noise_window(x0, y0, nx, ny))
+            heights = apply_kernel_valid(self.kernel, window,
+                                         engine=self.engine, dtype=self.dtype)
         record = {
             "method": "convolution-window",
             "window": [x0, y0, nx, ny],
@@ -884,6 +889,12 @@ class ConvolutionGenerator:
         return HeightField.wrap(
             heights, merge_provenance(record, provenance)
         )
+
+    def noise_window(self, x0: int, y0: int, nx: int, ny: int
+                     ) -> Tuple[int, int, int, int]:
+        """Noise window ``(wx0, wy0, wnx, wny)`` that :meth:`generate_window`
+        reads for the surface window ``[x0, x0+nx) x [y0, y0+ny)``."""
+        return noise_window_for(self.kernel, x0, y0, nx, ny)
 
     @property
     def footprint(self) -> Tuple[int, int]:

@@ -505,21 +505,29 @@ class InhomogeneousGenerator:
         with traced(self, trace, "generate_window"):
             return self._generate_window(noise, x0, y0, nx, ny, provenance)
 
+    def noise_window(self, x0: int, y0: int, nx: int, ny: int
+                     ) -> Tuple[int, int, int, int]:
+        """Noise window ``(wx0, wy0, wnx, wny)`` that :meth:`generate_window`
+        reads for the surface window ``[x0, x0+nx) x [y0, y0+ny)``."""
+        # Every layout lists all regions in every window (with possibly
+        # all-zero weights), so the kernel batch — and hence the common
+        # margins and block geometry — is the same for every window, and
+        # a one-sample weight map names it.
+        wm = self.layout.weight_map(
+            self.grid.with_shape(1, 1),
+            origin=(x0 * self.grid.dx, y0 * self.grid.dy),
+        )
+        kernels = [self._kernel_for(s) for s in wm.spectra]
+        return batched_noise_window_for(kernels, x0, y0, nx, ny)
+
     def _generate_window(self, noise, x0, y0, nx, ny, provenance):
         win_grid = self.grid.with_shape(nx, ny)
         origin = (x0 * self.grid.dx, y0 * self.grid.dy)
         with obs.trace("fields.weight_map"):
             wm = self.layout.weight_map(win_grid, origin=origin)
-        # Kernels match the distinct spectra of this window's weight map;
-        # every layout lists all regions in every window (with possibly
-        # all-zero weights), so the kernel batch — and hence the common
-        # margins and block geometry — is the same for every tile.
         kernels = [self._kernel_for(s) for s in wm.spectra]
         margins = common_margins(kernels)
-        wx0, wy0, wnx, wny = batched_noise_window_for(
-            kernels, x0, y0, nx, ny, margins=margins
-        )
-        window = noise.window(wx0, wy0, wnx, wny)
+        window = noise.window(*self.noise_window(x0, y0, nx, ny))
         # Active set: regions with zero blend weight everywhere in this
         # window are not convolved at all.  Margins stay those of the
         # full batch, so pruning is bit-transparent.

@@ -95,17 +95,49 @@ class StoreCorrupt(RuntimeError):
     """
 
 
-def _npy_header(path: Path) -> Tuple[int, Tuple[int, ...], np.dtype, bool]:
-    """Parse an ``.npy`` header: ``(data_offset, shape, dtype, fortran)``."""
+def _npy_header_bytes(shape: Tuple[int, ...], dtype: np.dtype) -> bytes:
+    """The ``.npy`` header numpy writes for a C-order ``shape``/``dtype``."""
+    buf = _io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
+        "fortran_order": False,
+        "shape": tuple(int(n) for n in shape),
+    })
+    return buf.getvalue()
+
+
+def _npy_header(path: Path, shape: Tuple[int, ...], dtype: np.dtype) -> int:
+    """Check ``path`` starts with the header of a ``shape``/``dtype``
+    array; return the data offset.
+
+    The header is compared byte for byte, never parsed: numpy's parser
+    goes through ``ast.literal_eval``, which is not safe to call from
+    several threads at once (CPython 3.11.7 raised ``SystemError: AST
+    constructor recursion depth mismatch`` under a dist run), and the
+    manifest already says what the header must hold.
+    """
+    expected = _npy_header_bytes(shape, dtype)
     with open(path, "rb") as fh:
-        version = np.lib.format.read_magic(fh)
-        if version == (1, 0):
-            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
-        elif version == (2, 0):
-            shape, fortran, dtype = np.lib.format.read_array_header_2_0(fh)
-        else:  # pragma: no cover - numpy only emits 1.0/2.0
-            raise StoreCorrupt(f"unsupported npy version {version} in {path}")
-        return fh.tell(), shape, dtype, fortran
+        head = fh.read(len(expected))
+    if head != expected:
+        raise StoreCorrupt(
+            f"{path} does not start with the .npy header of a "
+            f"{tuple(shape)} {np.dtype(dtype)} array"
+        )
+    return len(expected)
+
+
+def _read_npy(path: Path, shape: Tuple[int, ...], dtype: np.dtype
+              ) -> np.ndarray:
+    """Read a whole ``.npy`` file that must hold a ``shape``/``dtype``
+    array (header checked as in :func:`_npy_header`)."""
+    data = path.read_bytes()
+    header = _npy_header_bytes(shape, dtype)
+    size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    if not data.startswith(header) or len(data) != len(header) + size:
+        raise StoreCorrupt(f"{path} is not the .npy file of a "
+                           f"{tuple(shape)} {np.dtype(dtype)} array")
+    return np.frombuffer(data, dtype, offset=len(header)).reshape(shape).copy()
 
 
 def _npy_bytes(arr: np.ndarray) -> bytes:
@@ -269,17 +301,11 @@ class SurfaceStore:
         if not heights_path.exists():
             raise StoreCorrupt(f"store heights file missing at {heights_path}")
         try:
-            offset, h_shape, h_dtype, fortran = _npy_header(heights_path)
-        except (ValueError, OSError) as exc:
+            offset = _npy_header(heights_path, (nx, ny), _DTYPE)
+        except OSError as exc:
             raise StoreCorrupt(
                 f"unreadable heights header at {heights_path}: {exc}"
             ) from exc
-        if h_shape != (nx, ny) or h_dtype != _DTYPE or fortran:
-            raise StoreCorrupt(
-                f"heights file {heights_path} (shape={h_shape}, "
-                f"dtype={h_dtype}, fortran={fortran}) does not match the "
-                f"manifest geometry ({nx}, {ny})"
-            )
         expected = offset + nx * ny * _DTYPE.itemsize
         actual = heights_path.stat().st_size
         if actual != expected:
@@ -288,19 +314,13 @@ class SurfaceStore:
                 f"expected {expected}"
             )
         bitmap_path = path / BITMAP_NAME
+        n_chunks = (-(-nx // cnx)) * (-(-ny // cny))
         try:
-            done = np.load(bitmap_path)
-        except (FileNotFoundError, ValueError, OSError) as exc:
+            done = _read_npy(bitmap_path, (n_chunks,), np.bool_)
+        except OSError as exc:
             raise StoreCorrupt(
                 f"unreadable chunk bitmap at {bitmap_path}: {exc}"
             ) from exc
-        n_chunks = (-(-nx // cnx)) * (-(-ny // cny))
-        if done.shape != (n_chunks,) or done.dtype != np.bool_:
-            raise StoreCorrupt(
-                f"chunk bitmap at {bitmap_path} (shape={done.shape}, "
-                f"dtype={done.dtype}) does not match the {n_chunks}-chunk "
-                f"grid"
-            )
         return cls(path=path, manifest=manifest, done=done, mode=mode,
                    owns_ledger=ledger)
 
@@ -404,7 +424,8 @@ class SurfaceStore:
             # Unbuffered: rows go straight to the page cache via pwrite;
             # a buffered layer would copy and flush every 4 KiB row.
             self._fh = open(self.heights_path, "r+b", buffering=0)
-            self._offset = _npy_header(self.heights_path)[0]
+            self._offset = _npy_header(self.heights_path, self.shape,
+                                       _DTYPE)
         return self._fh
 
     def write_window(self, x0: int, y0: int, values: np.ndarray,
@@ -496,14 +517,8 @@ class SurfaceStore:
         true state, never claim an unwritten chunk — the safe direction
         for a restarted coordinator.
         """
-        persisted = np.load(self.path / BITMAP_NAME)
-        if persisted.shape != self.done.shape or persisted.dtype != np.bool_:
-            raise StoreCorrupt(
-                f"chunk bitmap at {self.path / BITMAP_NAME} changed shape "
-                f"({persisted.shape}, {persisted.dtype}) under an open "
-                f"store handle"
-            )
-        self.done[:] = persisted
+        self.done[:] = _read_npy(self.path / BITMAP_NAME, self.done.shape,
+                                 np.bool_)
 
     def persist_progress(self) -> None:
         """Atomically persist the bitmap, then the manifest's progress.
@@ -536,13 +551,17 @@ class SurfaceStore:
         mapping of the same pages ``write_window`` pwrites through, so
         it stays coherent with concurrent writes, and repeated
         window reads (e.g. the streaming verifier's) skip the per-call
-        header parse.
+        header check.
         """
-        if mode == "r":
-            if self._mm_r is None:
-                self._mm_r = np.load(self.heights_path, mmap_mode="r")
+        if mode == "r" and self._mm_r is not None:
             return self._mm_r
-        return np.load(self.heights_path, mmap_mode=mode)
+        mm = np.memmap(self.heights_path, dtype=_DTYPE, mode=mode,
+                       offset=_npy_header(self.heights_path, self.shape,
+                                          _DTYPE),
+                       shape=self.shape)
+        if mode == "r":
+            self._mm_r = mm
+        return mm
 
     def read_window(self, x0: int, y0: int, nx: int, ny: int) -> np.ndarray:
         """Copy one window into RAM (only those pages are touched)."""

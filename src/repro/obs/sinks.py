@@ -131,7 +131,8 @@ def provenance_timings(provenance: Dict[str, Any]) -> str:
 
     Renders whatever generation metadata the surface carries — engine,
     plan-cache deltas, region/level active sets, batched-FFT work, halo
-    overhead, and a stamped ``obs_metrics`` snapshot — and says so when
+    overhead, the serial sweep's noise-block cache, and a stamped
+    ``obs_metrics`` snapshot — and says so when
     a block is absent rather than printing nothing.
     """
     lines: List[str] = []
@@ -167,6 +168,13 @@ def provenance_timings(provenance: Dict[str, Any]) -> str:
             f"{'batch_fft':<16} forward={batch.get('forward_ffts', 0)} "
             f"inverse={batch.get('inverse_ffts', 0)} "
             f"blocks={batch.get('blocks', 0)}"
+        )
+    nc = provenance.get("noise_cache")
+    if isinstance(nc, dict):
+        lines.append(
+            f"{'noise_cache':<16} draws={nc.get('draws', 0)} "
+            f"hits={nc.get('hits', 0)} fallbacks={nc.get('fallbacks', 0)} "
+            f"peak={int(nc.get('peak_bytes', 0)) / 2**20:.1f} MiB"
         )
     obs_metrics = provenance.get("obs_metrics")
     if isinstance(obs_metrics, dict):

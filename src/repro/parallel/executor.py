@@ -6,7 +6,10 @@ supports windowed generation (anything satisfying the
 and assembles the tiles into one height array.  Three backends:
 
 ``serial``
-    Plain loop; the reference.
+    Plain loop; the reference.  The loop reads its noise through a
+    :class:`~repro.core.rng.SweepNoise` planned from every tile's
+    ``noise_window``, so each noise block is drawn once, not once per
+    halo that touches it (provenance ``noise_cache``).
 ``thread``
     ``ThreadPoolExecutor``.  NumPy's FFT and BLAS release the GIL for
     large arrays, so threads give genuine speedups with zero pickling
@@ -73,7 +76,7 @@ import numpy as np
 from .. import obs
 from ..core.api import split_result
 from ..core.engine import plan_cache
-from ..core.rng import BlockNoise
+from ..core.rng import BlockNoise, SweepNoise
 from ..core.surface import Surface
 from .tiles import Tile, TilePlan
 
@@ -181,6 +184,22 @@ def _traced_tile(
         obs.observe("executor.tile_seconds", span.duration_s)
         obs.add("executor.tiles")
     return heights, prov, span.duration_s
+
+
+def _sweep_noise(generator: WindowedGenerator, noise: BlockNoise,
+                 tiles: Iterable[Tile]) -> BlockNoise:
+    """``noise`` planned for a serial sweep over ``tiles``, in order.
+
+    The generator names each tile's noise window (``noise_window``), so
+    the returned :class:`~repro.core.rng.SweepNoise` draws each block
+    once.  A generator that cannot name its windows, or a noise plane
+    that is not a plain :class:`BlockNoise`, gets ``noise`` back as is.
+    """
+    window_for = getattr(generator, "noise_window", None)
+    if window_for is None or type(noise) is not BlockNoise:
+        return noise
+    return SweepNoise(noise, [window_for(t.x0, t.y0, t.nx, t.ny)
+                              for t in tiles])
 
 
 def _slim_provenance(prov: Optional[dict]) -> Optional[dict]:
@@ -390,6 +409,7 @@ class _ResilientRun:
         self.busy_s = 0.0
         self.cache_delta = {"hits": 0, "misses": 0}
         self.saw_worker_delta = False
+        self.sweep = noise  # the noise the serial sweep read, if any
         self.backend_chain = {
             "process": ["process", "thread", "serial"],
             "thread": ["thread", "serial"],
@@ -464,12 +484,15 @@ class _ResilientRun:
                     obs.add("executor.degradations")
 
     def _run_serial(self) -> None:
+        self.sweep = noise = _sweep_noise(
+            self.generator, self.noise, [task.tile for task in self.pending]
+        )
         while self.pending:
             task = self.pending.popleft()
             try:
                 self._fire(task)
                 heights, prov, dt = _traced_tile(
-                    self.generator, self.noise, task.tile
+                    self.generator, noise, task.tile
                 )
             except Exception as exc:
                 self._record_failure(task, exc)
@@ -477,6 +500,7 @@ class _ResilientRun:
                 continue
             self.busy_s += dt
             self._place(task.idx, task.tile, heights)
+            del heights  # free the tile before the next one is computed
             self._complete(task, prov)
 
     def _thread_tile(self, task: _Task, submit_ns: Optional[int]):
@@ -735,6 +759,10 @@ def generate_tiled(
             f"unknown backend {backend!r}; "
             f"expected serial|thread|process|dist"
         )
+    if isinstance(noise, SweepNoise):
+        # a sweep plan is not thread-safe and belongs to one serial
+        # sweep; the executor plans its own
+        noise = BlockNoise(noise.seed, noise.block)
     if backend == "dist":
         if not (out is not None and hasattr(out, "write_window")
                 and hasattr(out, "chunk_shape")):
@@ -801,6 +829,7 @@ def generate_tiled(
         or store is not None
     )
     run: Optional[_ResilientRun] = None
+    sweep: BlockNoise = noise
 
     def place(tile: Tile, values: np.ndarray) -> None:
         ix = tile.x0 - plan.origin_x
@@ -830,13 +859,16 @@ def generate_tiled(
             if writer is not None:
                 writer.close()  # re-raises a deferred write error
             busy_s = run.busy_s
+            sweep = run.sweep
             if run.saw_worker_delta:
                 cache_delta = run.cache_delta
         elif backend == "serial":
+            sweep = _sweep_noise(generator, noise, tiles)
             for t in tiles:
-                heights, prov, dt = _traced_tile(generator, noise, t)
+                heights, prov, dt = _traced_tile(generator, sweep, t)
                 busy_s += dt
                 place(t, heights)
+                del heights  # free the tile before the next one is computed
                 _merge_tile_provenance(agg, _slim_provenance(prov))
         elif backend == "thread":
             with cf.ThreadPoolExecutor(max_workers=n) as pool:
@@ -934,6 +966,10 @@ def generate_tiled(
         # worker's warmup, hits the cross-tile reuse inside workers.
         provenance["plan_cache"] = cache_delta
     provenance.update(agg)
+    if isinstance(sweep, SweepNoise):
+        provenance["noise_cache"] = dict(sweep.stats,
+                                         cap_bytes=sweep.cap_bytes)
+        obs.set_gauge("rng.cache_peak_bytes", sweep.stats["peak_bytes"])
     if obs.enabled() and run_span.duration_s > 0.0:
         obs.set_gauge(
             "executor.worker_utilization",

@@ -22,6 +22,7 @@ import pytest
 from repro.core.convolution import ConvolutionGenerator
 from repro.core.grid import Grid2D
 from repro.core.rng import BlockNoise
+from repro.core.spec import GenerationSpec
 from repro.core.spectra import GaussianSpectrum
 from repro.dist import Coordinator, LeaseLedger, RunSpec, generate_dist
 from repro.dist import protocol
@@ -507,6 +508,42 @@ class TestDistEndToEnd:
             coord.abort(RuntimeError("test over"))
             with pytest.raises(RuntimeError):
                 coord.serve(timeout=5.0)
+            store.close()
+
+    def test_shutdown_racing_a_new_connection_joins_only_started_handlers(
+            self, tmp_path, monkeypatch):
+        """A connection accepted just before shutdown: its handler
+        thread is listed only once started, so shutdown never joins an
+        unstarted thread ("cannot join thread before it is started")."""
+        gen, rebuild, noise, plan, grid = _problem(64, 32, seed=2)
+        store = _store_for(tmp_path, "race", 64, 32, grid)
+        spec = GenerationSpec(generator=rebuild, seed=2,
+                              plan={"total_nx": 64, "total_ny": 64,
+                                    "tile_nx": 32, "tile_ny": 32},
+                              store_path=str(store.path))
+        starting, release = threading.Event(), threading.Event()
+        real_thread = threading.Thread
+
+        class HeldStart(real_thread):
+            # holds a client handler between construction and start
+            def start(self):
+                if self.name.startswith("dist-client-"):
+                    starting.set()
+                    release.wait(10.0)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", HeldStart)
+        coord = Coordinator(spec, plan, store)
+        host, port = coord.start()
+        client = socket.create_connection((host, port), timeout=5.0)
+        try:
+            assert starting.wait(10.0)
+            coord.abort(RuntimeError("shutdown during accept"))
+            with pytest.raises(RuntimeError, match="shutdown during accept"):
+                coord.serve(timeout=5.0)
+        finally:
+            release.set()
+            client.close()
             store.close()
 
 

@@ -321,6 +321,17 @@ class TestSinks:
     def test_provenance_timings_empty(self):
         assert "no timing" in obs.provenance_timings({})
 
+    def test_serial_sweep_reports_noise_cache(self, inhomo_gen):
+        plan = TilePlan(total_nx=64, total_ny=64, tile_nx=24, tile_ny=40)
+        with obs.recording() as rec:
+            s = generate_tiled(inhomo_gen, BlockNoise(seed=4, block=16), plan)
+        cache = s.provenance["noise_cache"]
+        assert rec.metrics.counter("rng.block_draws") == cache["draws"] > 0
+        assert rec.metrics.counter("rng.rows_drawn") == cache["rows_drawn"]
+        assert rec.metrics.counter("rng.cache_hits") == cache["hits"] > 0
+        assert rec.metrics.gauge("rng.cache_peak_bytes") == cache["peak_bytes"]
+        assert "noise_cache" in obs.provenance_timings(s.provenance)
+
 
 # ---------------------------------------------------------------------------
 # Determinism contracts

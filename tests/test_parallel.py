@@ -6,9 +6,10 @@ import pytest
 from repro.core.convolution import ConvolutionGenerator
 from repro.core.grid import Grid2D
 from repro.core.inhomogeneous import InhomogeneousGenerator
-from repro.core.rng import BlockNoise
+from repro.core.rng import BlockNoise, SweepNoise
 from repro.core.spectra import ExponentialSpectrum, GaussianSpectrum
 from repro.fields.parameter_map import PlateLattice
+from repro.jobs import FaultPlan, FaultSpec, RetryPolicy
 from repro.parallel.executor import default_workers, generate_tiled
 from repro.parallel.streaming import StripStream, assemble_strips, stream_strips
 from repro.parallel.tiles import Tile, TilePlan
@@ -123,6 +124,124 @@ class TestBackends:
 
     def test_default_workers_positive(self):
         assert default_workers() >= 1
+
+
+class _Wrapped:
+    """A windowed generator that delegates to ``inner``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.grid = inner.grid
+
+    def noise_window(self, x0, y0, nx, ny):
+        return self.inner.noise_window(x0, y0, nx, ny)
+
+    def generate_window(self, noise, x0, y0, nx, ny):
+        return self.inner.generate_window(noise, x0, y0, nx, ny)
+
+
+class _FailsOnceAfterReading(_Wrapped):
+    """The first attempt at the tile at ``at`` reads its noise, then
+    fails: the retry reads a window the sweep has already served."""
+
+    def __init__(self, inner, at):
+        super().__init__(inner)
+        self.at = at
+        self.failed = False
+
+    def generate_window(self, noise, x0, y0, nx, ny):
+        out = self.inner.generate_window(noise, x0, y0, nx, ny)
+        if (x0, y0) == self.at and not self.failed:
+            self.failed = True
+            raise RuntimeError("transient failure after the noise read")
+        return out
+
+
+class _NeedsPlainNoise(_Wrapped):
+    def generate_window(self, noise, x0, y0, nx, ny):
+        if type(noise) is not BlockNoise:
+            raise TypeError(f"worker got {type(noise).__name__}")
+        return self.inner.generate_window(noise, x0, y0, nx, ny)
+
+
+class TestSweepNoiseInExecutor:
+    """The serial sweep draws each noise block once; the bytes stay
+    those of the plain noise plane on every path."""
+
+    plan = TilePlan(total_nx=96, total_ny=80, tile_nx=28, tile_ny=36,
+                    origin_x=-13, origin_y=5)
+
+    def test_serial_sweep_reuses_blocks_bit_identical_to_pools(self, gen):
+        bn = BlockNoise(seed=2, block=16)
+        s = generate_tiled(gen, bn, self.plan)
+        cache = s.provenance["noise_cache"]
+        reads = sum(len(range(x0 // 16, (x0 + nx - 1) // 16 + 1))
+                    * len(range(y0 // 16, (y0 + ny - 1) // 16 + 1))
+                    for x0, y0, nx, ny in (
+                        gen.noise_window(t.x0, t.y0, t.nx, t.ny)
+                        for t in self.plan.tiles()))
+        assert cache["draws"] < reads
+        assert cache["hits"] > 0 and cache["fallbacks"] == 0
+        assert 0 < cache["peak_bytes"] <= cache["cap_bytes"]
+        for backend in ("thread", "process"):
+            other = generate_tiled(gen, bn, self.plan, backend=backend,
+                                   workers=2)
+            assert other.heights.tobytes() == s.heights.tobytes()
+            assert "noise_cache" not in other.provenance
+
+    def test_inhomogeneous_sweep_matches_thread_backend(self, inhom_gen):
+        bn = BlockNoise(seed=5, block=40)
+        s = generate_tiled(inhom_gen, bn, self.plan)
+        t = generate_tiled(inhom_gen, bn, self.plan, backend="thread",
+                           workers=2)
+        assert s.heights.tobytes() == t.heights.tobytes()
+        assert s.provenance["noise_cache"]["fallbacks"] == 0
+
+    def test_retry_after_the_read_falls_back_bit_identically(self, gen):
+        bn = BlockNoise(seed=3, block=16)
+        ref = generate_tiled(gen, bn, self.plan, backend="thread", workers=2)
+        tile = self.plan.tiles()[4]
+        flaky = _FailsOnceAfterReading(gen, (tile.x0, tile.y0))
+        s = generate_tiled(flaky, bn, self.plan,
+                           retry=RetryPolicy(backoff_base=0.0))
+        assert s.provenance["resilience"]["retries"] == 1
+        assert s.provenance["noise_cache"]["fallbacks"] > 0
+        assert s.heights.tobytes() == ref.heights.tobytes()
+
+    def test_fault_before_the_read_is_served_by_the_cache(self, gen):
+        bn = BlockNoise(seed=3, block=16)
+        ref = generate_tiled(gen, bn, self.plan, backend="thread", workers=2)
+        s = generate_tiled(gen, bn, self.plan,
+                           retry=RetryPolicy(backoff_base=0.0),
+                           fault_plan=FaultPlan.of(FaultSpec(tile=4)))
+        assert s.provenance["resilience"]["retries"] == 1
+        assert s.provenance["noise_cache"]["fallbacks"] == 0
+        assert s.heights.tobytes() == ref.heights.tobytes()
+
+    def test_skip_resume_plans_only_pending_tiles(self, gen):
+        bn = BlockNoise(seed=6, block=16)
+        full = generate_tiled(gen, bn, self.plan)
+        skip = [0, 1, 5, 7]
+        out = np.zeros_like(full.heights)
+        ox, oy = self.plan.origin_x, self.plan.origin_y
+        for i in skip:
+            t = self.plan.tiles()[i]
+            window = (slice(t.x0 - ox, t.x1 - ox), slice(t.y0 - oy, t.y1 - oy))
+            out[window] = full.heights[window]
+        resumed = generate_tiled(gen, bn, self.plan, out=out, skip=skip)
+        assert resumed.heights.tobytes() == full.heights.tobytes()
+        cache = resumed.provenance["noise_cache"]
+        assert cache["fallbacks"] == 0
+        assert cache["draws"] < full.provenance["noise_cache"]["draws"]
+
+    def test_sweep_noise_reaches_pool_workers_as_plain_noise(self, gen):
+        bn = BlockNoise(seed=2, block=16)
+        ref = generate_tiled(gen, bn, self.plan)
+        sweep = SweepNoise(bn, [gen.noise_window(t.x0, t.y0, t.nx, t.ny)
+                                for t in self.plan.tiles()])
+        p = generate_tiled(_NeedsPlainNoise(gen), sweep, self.plan,
+                           backend="process", workers=2)
+        assert p.heights.tobytes() == ref.heights.tobytes()
 
 
 class TestBackendsFftEngine:

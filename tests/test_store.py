@@ -269,6 +269,48 @@ class TestStoreCorruption:
         with pytest.raises(StoreCorrupt):
             SurfaceStore.open(store_dir)
 
+    @pytest.mark.parametrize("name", ["heights.npy", "chunks.npy"])
+    def test_torn_npy_header(self, store_dir, name):
+        with open(store_dir / name, "r+b") as fh:
+            fh.seek(20)
+            fh.write(b"\x00" * 16)  # torn inside the header dict
+        with pytest.raises(StoreCorrupt):
+            SurfaceStore.open(store_dir)
+
+    def test_concurrent_opens_parse_no_header(self, store_dir, monkeypatch):
+        """Eight threads open one store at once.  numpy's .npy header
+        parser (ast.literal_eval) is not thread-safe on every CPython,
+        so opening and reading must never call it."""
+        import ast
+        import threading
+
+        def no_ast(*args, **kwargs):
+            raise AssertionError("store header parsed through ast")
+
+        monkeypatch.setattr(ast, "literal_eval", no_ast)
+        barrier = threading.Barrier(8)
+        sums, errors = [], []
+
+        def open_and_read():
+            try:
+                barrier.wait(10.0)
+                store = SurfaceStore.open(store_dir)
+                try:
+                    sums.append(float(np.asarray(store.heights()).sum()))
+                    store.refresh_done()
+                finally:
+                    store.close()
+            except BaseException as exc:  # surfaced below, not lost
+                errors.append(exc)
+
+        threads = [threading.Thread(target=open_and_read) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30.0)
+        assert errors == []
+        assert sums == [64.0] * 8
+
 
 # ---------------------------------------------------------------------------
 # Async writeback
