@@ -75,7 +75,7 @@ from .weights import (
     Kernel,
     amplitude_array,
     build_kernel,
-    truncate_kernel,
+    coerce_support,
     truncate_kernel_energy,
 )
 
@@ -719,18 +719,16 @@ def resolve_kernel(
     height std then share one cached FFT plan (the synthesis is linear
     in ``h``), see :mod:`repro.core.engine`.
     """
-    kernel = build_kernel(spectrum, grid)
-    if truncation is None:
-        pass
-    elif isinstance(truncation, tuple):
-        kernel = truncate_kernel(kernel, *truncation)
+    if isinstance(truncation, tuple):
+        # an explicit support: build only that window (same bytes)
+        trunc_token = coerce_support(truncation)
+        kernel = build_kernel(spectrum, grid, support=trunc_token)
     else:
-        kernel = truncate_kernel_energy(kernel, float(truncation))
-    trunc_token = (
-        tuple(int(t) for t in truncation)
-        if isinstance(truncation, tuple)
-        else truncation
-    )
+        # energy fractions need the full kernel's energy
+        trunc_token = truncation
+        kernel = build_kernel(spectrum, grid)
+        if truncation is not None:
+            kernel = truncate_kernel_energy(kernel, float(truncation))
     try:
         unit = spectrum.with_params(h=1.0) if spectrum.h != 1.0 else spectrum
         identity = (

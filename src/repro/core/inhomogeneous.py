@@ -56,7 +56,7 @@ from .grid import Grid2D
 from .rng import BlockNoise, SeedLike, standard_normal_field
 from .spectra import Spectrum
 from .surface import Surface
-from .weights import Kernel, build_kernel, truncate_kernel
+from .weights import Kernel, build_kernel
 
 __all__ = [
     "Layout",
@@ -277,9 +277,7 @@ def kernel_stack(
     Needed by :func:`blend_reference`, whose per-point kernel mixing
     (eqn 37 taken literally) requires aligned kernel arrays.
     """
-    return [
-        truncate_kernel(build_kernel(s, grid), half_x, half_y) for s in spectra
-    ]
+    return [build_kernel(s, grid, support=(half_x, half_y)) for s in spectra]
 
 
 def blend_reference(

@@ -86,6 +86,13 @@ def _validate_generator(recipe: Any) -> None:
     kind = recipe.get("kind")
     _require(kind in GENERATOR_KINDS, "generator.kind",
              f"expected one of {GENERATOR_KINDS}, got {kind!r}")
+    if isinstance(recipe.get("truncation"), (list, tuple)):
+        from .weights import coerce_support
+
+        try:
+            coerce_support(recipe["truncation"])
+        except ValueError as exc:
+            raise SpecError("generator.truncation", str(exc)) from None
     if kind == "convolution":
         spectrum = recipe.get("spectrum")
         _require(isinstance(spectrum, dict) and "kind" in spectrum,

@@ -75,7 +75,9 @@ class Surface:
             raise ValueError(
                 f"heights shape {h.shape} does not match grid shape {self.grid.shape}"
             )
-        if not np.all(np.isfinite(h)):
+        # two reductions (min/max propagate NaN) instead of a boolean
+        # mask the size of the surface: no output-sized transient
+        if not (np.isfinite(h.min()) and np.isfinite(h.max())):
             raise ValueError("heights contain non-finite values")
         self.heights = h
 

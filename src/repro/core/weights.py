@@ -29,7 +29,11 @@ The kernel returned here is centred (index ``(Mx, My)`` is the peak) so
 that eqn (36) becomes an ordinary centred convolution.  Kernel truncation
 — the paper's second advantage of the convolution method — is provided by
 :func:`truncate_kernel` (explicit half-width) and
-:func:`truncate_kernel_energy` (retain a target energy fraction).
+:func:`truncate_kernel_energy` (retain a target energy fraction).  An
+explicit half-width can also be handed to :func:`build_kernel` as
+``support=``: it then transforms only what that window needs and returns
+the same bytes as truncating the full kernel (DESIGN.md "Kernel
+construction").
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ from typing import Hashable, Optional, Tuple
 
 import numpy as np
 
-from .grid import Grid2D
+from .. import obs
+from .grid import Grid2D, folded_frequency_index
 from .spectra import Spectrum
 
 __all__ = [
@@ -49,6 +54,7 @@ __all__ = [
     "amplitude_array",
     "weight_autocorrelation",
     "build_kernel",
+    "coerce_support",
     "truncate_kernel",
     "truncate_kernel_energy",
     "kernel_half_width",
@@ -70,11 +76,26 @@ def weight_array(spectrum: Spectrum, grid: Grid2D) -> np.ndarray:
     kx = grid.kx_folded[:, None]
     ky = grid.ky_folded[None, :]
     w = grid.spectral_cell * spectrum.spectrum(kx, ky)
-    if np.any(w < 0):
+    _check_weights(w)
+    return w
+
+
+def _check_weights(w: np.ndarray) -> None:
+    """Reject negative or non-finite weights (shared by both kernel builds).
+
+    Two reductions instead of a full-size boolean mask; ``min``/``max``
+    propagate NaN, so a NaN anywhere fails the finiteness test.
+    """
+    lo, hi = w.min(), w.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(
+            "spectral density produced non-finite values (NaN or inf); "
+            "W(K) must be finite"
+        )
+    if lo < 0:
         raise ValueError(
             "spectral density produced negative values; W(K) must be >= 0"
         )
-    return w
 
 
 def amplitude_array(spectrum: Spectrum, grid: Grid2D) -> np.ndarray:
@@ -101,6 +122,35 @@ def weight_autocorrelation(spectrum: Spectrum, grid: Grid2D) -> np.ndarray:
     w = weight_array(spectrum, grid)
     acf = np.fft.fft2(w)
     return np.ascontiguousarray(acf.real)
+
+
+def _half_width(value) -> Optional[int]:
+    """``value`` as a non-negative int, or ``None`` if it is not one."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        value = int(value)
+    if isinstance(value, (int, np.integer)) and value >= 0:
+        return int(value)
+    return None
+
+
+def coerce_support(support) -> Tuple[int, int]:
+    """An explicit kernel support ``(half_x, half_y)`` as two plain ints.
+
+    Integral floats (``64.0``, as JSON may hand them back) become ints;
+    anything else that is not a non-negative integer — ``8.5``, a bool,
+    ``-1``, the wrong number of entries — raises a ``ValueError`` that
+    names the truncation.
+    """
+    entries = support if isinstance(support, (tuple, list)) else ()
+    out = [_half_width(v) for v in entries]
+    if len(out) != 2 or None in out:
+        raise ValueError(
+            f"truncation {support!r}: expected two non-negative integer "
+            "half widths (half_x, half_y)"
+        )
+    return (out[0], out[1])
 
 
 def _validate_energy_fraction(energy_fraction: float) -> None:
@@ -220,7 +270,16 @@ class Kernel:
         return 1.0
 
 
-def build_kernel(spectrum: Spectrum, grid: Grid2D) -> Kernel:
+#: Bytes of complex first-pass output the windowed build transforms at
+#: once, and the kept columns it sends through the second pass together.
+#: Both only bound the build's transient memory; the bytes do not depend
+#: on them.
+_ROW_CHUNK_BYTES = 1 << 21
+_COLUMN_CHUNK = 8
+
+
+def build_kernel(spectrum: Spectrum, grid: Grid2D,
+                 support: Optional[Tuple[int, int]] = None) -> Kernel:
     """Centred convolution kernel ``w-bar`` of paper eqns (34)-(35).
 
     Computes ``DFT(v)``, permutes it to centred order (the paper's index
@@ -234,16 +293,41 @@ def build_kernel(spectrum: Spectrum, grid: Grid2D) -> Kernel:
     The kernel is real and, for the even spectra of Section 2.1,
     symmetric about its centre; tiny imaginary residue from the FFT is
     discarded after a sanity check.
+
+    ``support=(half_x, half_y)`` builds only that centred window: the
+    result is byte-identical to
+    ``truncate_kernel(build_kernel(spectrum, grid), half_x, half_y)``
+    but transforms only the distinct rows of ``v`` and the kept columns
+    (see DESIGN.md "Kernel construction").
     """
-    v = amplitude_array(spectrum, grid)
-    big_v = np.fft.fft2(v)
-    imag_max = float(np.max(np.abs(big_v.imag))) if big_v.size else 0.0
-    scale = float(np.max(np.abs(big_v.real))) or 1.0
+    hx_hy = None if support is None else coerce_support(support)
+    with obs.trace("weights.build_kernel", {
+        "grid": (grid.nx, grid.ny), "support": hx_hy,
+        "pruned": hx_hy is not None,
+    } if obs.enabled() else None):
+        if hx_hy is None:
+            return _full_kernel(spectrum, grid)
+        return _windowed_kernel(spectrum, grid, *hx_hy)
+
+
+def _abs_max(a: np.ndarray) -> float:
+    """``max(|a|)`` by two reductions, without a full-size temporary."""
+    return max(float(a.max()), -float(a.min())) if a.size else 0.0
+
+
+def _check_real(imag_max: float, real_max: float) -> None:
+    scale = real_max or 1.0
     if imag_max > 1e-8 * scale:
         raise ValueError(
             "kernel transform is not real; spectrum must be even in Kx and Ky "
             f"(max |imag| = {imag_max:g})"
         )
+
+
+def _full_kernel(spectrum: Spectrum, grid: Grid2D) -> Kernel:
+    v = amplitude_array(spectrum, grid)
+    big_v = np.fft.fft2(v)
+    _check_real(_abs_max(big_v.imag), _abs_max(big_v.real))
     kern = np.fft.fftshift(big_v.real) / np.sqrt(grid.size)
     return Kernel(
         values=np.ascontiguousarray(kern),
@@ -251,6 +335,52 @@ def build_kernel(spectrum: Spectrum, grid: Grid2D) -> Kernel:
         cy=grid.my,
         dx=grid.dx,
         dy=grid.dy,
+    )
+
+
+def _windowed_kernel(spectrum: Spectrum, grid: Grid2D,
+                     half_x: int, half_y: int) -> Kernel:
+    """The ``(half_x, half_y)`` window of :func:`_full_kernel`, same bytes.
+
+    ``fft2`` is ``fft`` along y, then along x, one independent line at a
+    time.  Folding makes row ``i`` of ``v`` equal row ``nx - i``, so the
+    first pass transforms rows ``0..nx//2`` only (in chunks, keeping the
+    window's columns), and the second pass transforms only the window's
+    columns, each gathered back to all ``nx`` rows by mirroring.  The
+    realness check covers every value either pass produces.
+    """
+    nx, ny = grid.nx, grid.ny
+    x0, x1 = max(0, grid.mx - half_x), min(nx, grid.mx + half_x + 1)
+    y0, y1 = max(0, grid.my - half_y), min(ny, grid.my + half_y + 1)
+    # centred index c holds transform bin (c - n//2) mod n (fftshift)
+    rows = (np.arange(x0, x1) - grid.mx) % nx
+    cols = (np.arange(y0, y1) - grid.my) % ny
+    distinct = nx // 2 + 1
+    kx = grid.kx_folded[:distinct, None]
+    ky = grid.ky_folded[None, :]
+    step = max(1, _ROW_CHUNK_BYTES // (16 * ny))
+    first = np.empty((distinct, cols.size), dtype=complex)
+    imag_max = 0.0
+    for r0 in range(0, distinct, step):
+        w = grid.spectral_cell * spectrum.spectrum(kx[r0:r0 + step], ky)
+        _check_weights(w)
+        line = np.fft.fft(np.sqrt(w, out=w), axis=1)
+        imag_max = max(imag_max, _abs_max(line.imag))
+        first[r0:r0 + step] = line[:, cols]
+    mirror = folded_frequency_index(nx)
+    kern = np.empty((x1 - x0, y1 - y0))
+    real_max = 0.0
+    for c0 in range(0, cols.size, _COLUMN_CHUNK):
+        big_v = np.fft.fft(first[mirror, c0:c0 + _COLUMN_CHUNK], axis=0)
+        imag_max = max(imag_max, _abs_max(big_v.imag))
+        real_max = max(real_max, _abs_max(big_v.real))
+        kern[:, c0:c0 + _COLUMN_CHUNK] = big_v.real[rows]
+    # the DC bin, the largest |real| of the full transform, is always kept
+    _check_real(imag_max, real_max)
+    kern /= np.sqrt(grid.size)
+    return Kernel(
+        values=kern, cx=grid.mx - x0, cy=grid.my - y0,
+        dx=grid.dx, dy=grid.dy,
     )
 
 
@@ -262,8 +392,7 @@ def truncate_kernel(kernel: Kernel, half_x: int, half_y: int) -> Kernel:
     when the correlation length is small the kernel support is compact
     and computation shrinks proportionally.
     """
-    if half_x < 0 or half_y < 0:
-        raise ValueError("half widths must be >= 0")
+    half_x, half_y = coerce_support((half_x, half_y))
     x0 = max(0, kernel.cx - half_x)
     x1 = min(kernel.shape[0], kernel.cx + half_x + 1)
     y0 = max(0, kernel.cy - half_y)

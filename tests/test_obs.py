@@ -14,6 +14,7 @@ import pytest
 
 from repro import obs
 from repro.cli import main
+from repro.core.convolution import ConvolutionGenerator
 from repro.core.grid import Grid2D
 from repro.core.inhomogeneous import InhomogeneousGenerator
 from repro.core.rng import BlockNoise
@@ -331,6 +332,21 @@ class TestSinks:
         assert rec.metrics.counter("rng.cache_hits") == cache["hits"] > 0
         assert rec.metrics.gauge("rng.cache_peak_bytes") == cache["peak_bytes"]
         assert "noise_cache" in obs.provenance_timings(s.provenance)
+
+    def test_kernel_build_span_says_whether_it_was_pruned(self):
+        grid = Grid2D(nx=64, ny=48, lx=64.0, ly=48.0)
+        spectrum = GaussianSpectrum(h=1.0, clx=4.0, cly=4.0)
+        with obs.recording() as rec:
+            ConvolutionGenerator(spectrum, grid, truncation=(7, 5))
+            ConvolutionGenerator(spectrum, grid, truncation=0.99)
+        builds = [attrs for name, *_, attrs in rec.spans()
+                  if name == "weights.build_kernel"]
+        assert builds == [
+            {"grid": (64, 48), "support": (7, 5), "pruned": True},
+            {"grid": (64, 48), "support": None, "pruned": False},
+        ]
+        events = obs.chrome_trace_events(rec)
+        assert json.loads(json.dumps(events))  # attrs serialise
 
 
 # ---------------------------------------------------------------------------

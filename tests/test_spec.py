@@ -157,6 +157,27 @@ class TestValidationNamesField:
         # can show it verbatim
         assert str(exc.value).startswith(field_path)
 
+    @pytest.mark.parametrize("truncation", [[8.5, 8], [True, 2], [-1, 2],
+                                            [4, 4, 4]])
+    def test_bad_truncation_is_named(self, truncation):
+        doc = conv_spec().to_dict()
+        doc["generator"]["truncation"] = truncation
+        with pytest.raises(SpecError, match="truncation") as exc:
+            GenerationSpec.from_json(json.dumps(doc))
+        assert exc.value.field == "generator.truncation"
+
+    def test_integral_float_truncation_builds_the_int_kernel(self):
+        def kernel(truncation):
+            doc = conv_spec().to_dict()
+            doc["generator"]["truncation"] = truncation
+            text = json.dumps(doc)
+            return GenerationSpec.from_json(text).build_generator().kernel
+
+        got, want = kernel([64.0, 64]), kernel([64, 64])
+        assert got.values.tobytes() == want.values.tobytes()
+        assert (got.cx, got.cy, got.identity) == (want.cx, want.cy,
+                                                   want.identity)
+
     def test_faults_must_be_dicts(self):
         with pytest.raises(SpecError) as exc:
             conv_spec(faults=["drop"])

@@ -26,6 +26,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Surface(heights=h, grid=grid)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_any_non_finite_value_rejected(self, dtype, bad):
+        grid = Grid2D(nx=4, ny=5, lx=4.0, ly=5.0)
+        h = np.zeros((4, 5), dtype=dtype)
+        h[3, 4] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Surface(heights=h, grid=grid)
+
     def test_1d_rejected(self):
         grid = Grid2D(nx=4, ny=4, lx=4.0, ly=4.0)
         with pytest.raises(ValueError):
