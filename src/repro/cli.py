@@ -223,15 +223,13 @@ def _fault_plan_from_args(args: argparse.Namespace):
 
 
 def _resilience_kwargs(args: argparse.Namespace) -> dict:
-    """Executor retry/fault kwargs for the generate/figure tiled paths."""
+    """Executor fault-injection kwargs for the generate/figure tiled paths."""
     fault_plan = _fault_plan_from_args(args)
     if fault_plan is None:
         return {}
     if args.tile is None:
         raise SystemExit("--inject-fault requires --tile")
-    from .jobs import RetryPolicy
-
-    return {"retry": RetryPolicy(), "fault_plan": fault_plan}
+    return {"fault_plan": fault_plan}
 
 
 def _store_from_args(args: argparse.Namespace, grid,

@@ -19,10 +19,6 @@ provenance=None)``
     2D generators take ``(noise, x0, y0, nx, ny)``; the 1D profile
     generator takes ``(noise, x0, nx)``.
 
-Legacy positional call shapes (``gen.generate(seed, noise, boundary)``)
-keep working through :func:`absorb_legacy_positionals`, which maps them
-onto the keyword names and emits a :class:`DeprecationWarning`.
-
 Return types are part of the compatibility contract and unchanged:
 generators that historically returned bare height arrays now return
 :class:`HeightField` — an ``ndarray`` subclass that behaves exactly like
@@ -34,7 +30,6 @@ streamed and job layers can treat every generator uniformly via
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Dict, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
@@ -45,7 +40,6 @@ __all__ = [
     "SurfaceGenerator",
     "HeightField",
     "split_result",
-    "absorb_legacy_positionals",
     "traced",
     "merge_provenance",
     "protocol_violations",
@@ -123,35 +117,6 @@ def split_result(result: Any) -> Tuple[np.ndarray, Optional[dict]]:
         return np.asarray(result), None
     prov = getattr(result, "provenance", None) or None
     return np.asarray(heights), prov
-
-
-def absorb_legacy_positionals(method: str, values: tuple,
-                              names: Tuple[str, ...]) -> Dict[str, Any]:
-    """Map deprecated positional arguments onto their keyword names.
-
-    The unified signatures make everything after ``seed`` keyword-only;
-    this shim keeps old call shapes like ``gen.generate(7, noise)``
-    working, with a :class:`DeprecationWarning` naming the parameters to
-    migrate.  Returns the ``{name: value}`` mapping (empty when the call
-    already used keywords).
-    """
-    if not values:
-        return {}
-    if len(values) > len(names):
-        raise TypeError(
-            f"{method}() takes at most {len(names)} positional "
-            f"argument(s) after 'seed' ({', '.join(names)}); "
-            f"got {len(values)}"
-        )
-    taken = names[: len(values)]
-    warnings.warn(
-        f"passing {', '.join(taken)} positionally to {method}() is "
-        f"deprecated; pass by keyword "
-        f"({', '.join(f'{n}=...' for n in taken)})",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return dict(zip(taken, values))
 
 
 class _NullSpanCtx:

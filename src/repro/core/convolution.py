@@ -58,7 +58,7 @@ import numpy as np
 from scipy import signal
 
 from .. import obs
-from .api import HeightField, absorb_legacy_positionals, merge_provenance, traced
+from .api import HeightField, merge_provenance, traced
 from .backend import ArrayBackend, get_backend
 from .engine import (
     BatchStats,
@@ -805,7 +805,7 @@ class ConvolutionGenerator:
     def generate(
         self,
         seed: SeedLike = None,
-        *args,
+        *,
         noise: Optional[np.ndarray] = None,
         boundary: str = "wrap",
         exact: bool = False,
@@ -815,8 +815,7 @@ class ConvolutionGenerator:
         """One realisation on the construction grid.
 
         Unified signature (:mod:`repro.core.api`): everything after
-        ``seed`` is keyword-only; legacy positional calls still work
-        but emit a :class:`DeprecationWarning`.  Returns a
+        ``seed`` is keyword-only.  Returns a
         :class:`~repro.core.api.HeightField` — a drop-in ``ndarray``
         carrying the run's provenance.
 
@@ -833,14 +832,6 @@ class ConvolutionGenerator:
         provenance:
             Extra entries merged into the result's provenance.
         """
-        if args:
-            legacy = absorb_legacy_positionals(
-                "ConvolutionGenerator.generate", args,
-                ("noise", "boundary", "exact"),
-            )
-            noise = legacy.get("noise", noise)
-            boundary = legacy.get("boundary", boundary)
-            exact = legacy.get("exact", exact)
         with traced(self, trace):
             if noise is None:
                 noise = standard_normal_field(self.grid.shape, seed)

@@ -2,12 +2,11 @@
 
 Before this module the repo had three divergent descriptions of a
 generation run — CLI argparse namespaces, the ``rebuild`` recipes
-:mod:`repro.jobs` checkpoints, and the dist wire's
-``repro.dist.spec.RunSpec`` — that all said the same thing with
-different spellings.  :class:`GenerationSpec` collapses them: a
-versioned (``repro.spec/v1``), JSON-round-trippable, *declarative*
-value that the CLI, the jobs layer, the dist protocol and the
-:mod:`repro.serve` front door all construct and consume.
+:mod:`repro.jobs` checkpoints, and the dist wire's run spec — that all
+said the same thing with different spellings.  :class:`GenerationSpec`
+collapses them: a versioned (``repro.spec/v1``), JSON-round-trippable,
+*declarative* value that the CLI, the jobs layer, the dist protocol and
+the :mod:`repro.serve` front door all construct and consume.
 
 Design rules:
 

@@ -1,6 +1,7 @@
 """The dist worker: a stateless tile computer driven by lease grants.
 
-A worker connects, says hello, receives the :class:`RunSpec`, rebuilds
+A worker connects, says hello, receives the run's
+:class:`~repro.core.spec.GenerationSpec` (its wire form), rebuilds
 the generator from its recipe (the same ``rebuild`` recipes
 :mod:`repro.jobs` checkpoints — values are pure functions of the recipe,
 seed and tile, so any worker anywhere computes identical bytes), then

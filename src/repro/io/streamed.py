@@ -20,10 +20,10 @@ from typing import Optional, Union
 
 import numpy as np
 
+from ..core.api import split_result
 from ..core.rng import BlockNoise
 from ..core.surface import Surface
-from ..parallel.executor import WindowedGenerator, _tile_heights
-from ..parallel.tiles import Tile
+from ..parallel.executor import WindowedGenerator
 from .atomic import atomic_write_json
 
 __all__ = ["stream_to_npy", "load_streamed_surface"]
@@ -59,8 +59,8 @@ def stream_to_npy(
     written = 0
     while written < total_nx:
         nx = min(strip_nx, total_nx - written)
-        tile = Tile(x0=x0 + written, y0=y0, nx=nx, ny=ny)
-        out[written : written + nx, :] = _tile_heights(generator, noise, tile)
+        strip = generator.generate_window(noise, x0 + written, y0, nx, ny)
+        out[written : written + nx, :] = split_result(strip)[0]
         written += nx
     out.flush()
     del out

@@ -33,20 +33,23 @@ do for GPU/MPI stochastic codes.  *Different* tile plans agree to
 floating-point rounding (~1e-15 relative): the FFT used inside the
 windowed convolution rounds differently for different window shapes.
 
-Fault tolerance (the substrate of :mod:`repro.jobs`): passing any of the
-``retry`` / ``fault_plan`` / ``out`` / ``skip`` / ``on_tile`` keywords
-switches :func:`generate_tiled` to a resilient scheduler that retries
-failed tiles with deterministic exponential backoff, enforces a run-wide
-failure budget, survives crashed process-pool workers
+Every single-host run goes through one fault-tolerant scheduler (the
+substrate of :mod:`repro.jobs`): it retries failed tiles with
+deterministic exponential backoff (``retry``, a default
+:class:`~repro.jobs.retry.RetryPolicy` when omitted), enforces a
+run-wide failure budget, survives crashed process-pool workers
 (``BrokenProcessPool`` → respawn the pool and requeue the in-flight
 tiles), and degrades process → thread → serial when respawning keeps
-failing.  Because tile values are backend-independent, retries and
-degradation never change the output — only when it is computed.
+failing.  ``fault_plan``, ``out``, ``skip`` and ``on_tile`` hook fault
+injection and checkpoint/resume into that same scheduler.  Because tile
+values are backend-independent, retries and degradation never change
+the output — only when it is computed.
 
-Run-level provenance aggregates what the windowed generators report per
-tile: plan-cache hit/miss deltas (summed across process workers' own
-caches), region/level active-set totals, batched-FFT counters, and — for
-resilient runs — retry/respawn/degradation counts.
+Run-level provenance has one shape on every single-host backend: it
+aggregates what the windowed generators report per tile (plan-cache
+hit/miss deltas — the parent's plus the process workers' own caches —
+region/level active-set totals, batched-FFT counters) and the run's
+retry/respawn/degradation counts.
 
 This module is the library's MPI substitute (DESIGN.md S10): the tile
 decomposition, halo arithmetic, and determinism contract are exactly
@@ -57,6 +60,7 @@ from __future__ import annotations
 
 import concurrent.futures as cf
 import os
+import queue
 import time
 from collections import deque
 from multiprocessing import shared_memory
@@ -151,12 +155,6 @@ def _tile_result(
     """
     out = generator.generate_window(noise, tile.x0, tile.y0, tile.nx, tile.ny)
     return split_result(out)
-
-
-def _tile_heights(generator: WindowedGenerator, noise: BlockNoise, tile: Tile
-                  ) -> np.ndarray:
-    out, _prov = _tile_result(generator, noise, tile)
-    return out
 
 
 def _traced_tile(
@@ -290,7 +288,7 @@ def _pool_init(
     Everything tile-independent — the generator (with its kernels), the
     noise spec, the mapped output buffer, and any fault-injection plan —
     lives in module state for the worker's lifetime, so per-tile tasks
-    carry only a ``Tile`` (plus index/attempt in resilient mode).
+    carry only a tile's index, ``Tile`` and attempt number.
     When the parent is recording, each worker installs its own
     :class:`repro.obs.Recorder`; per-tile drains ride the result pipe
     next to the plan-cache deltas.
@@ -310,16 +308,20 @@ def _pool_init(
 
 
 def _pool_tile(
-    tile: Tile,
+    task: Tuple[int, Tile, int],
 ) -> Tuple[Optional[dict], Dict[str, int], Optional[Dict[str, Any]]]:
-    """Worker task: write one tile straight into the shared output.
+    """Worker task: fire any scheduled fault, then write one tile
+    straight into the shared output.
 
     Returns the tile's slim provenance, this tile's plan-cache delta
     (each worker process holds its own cache), and — when the run is
     being recorded — the worker recorder's drained span/metric payload.
     No height data crosses the result pipe.
     """
+    idx, tile, attempt = task
     state = _POOL_STATE
+    if state["fault_plan"] is not None:
+        state["fault_plan"].fire(idx, attempt)
     before = plan_cache.stats()
     heights, prov, _dt = _traced_tile(state["generator"], state["noise"], tile)
     after = plan_cache.stats()
@@ -337,22 +339,8 @@ def _pool_tile(
     return _slim_provenance(prov), delta, payload
 
 
-def _pool_resilient_tile(
-    task: Tuple[int, Tile, int],
-) -> Tuple[int, Optional[dict], Dict[str, int], Optional[Dict[str, Any]]]:
-    """Worker task for resilient runs: fire any scheduled fault, then
-    compute the tile.  Echoes the tile index so the parent can match
-    out-of-order completions."""
-    idx, tile, attempt = task
-    fault_plan = _POOL_STATE.get("fault_plan")
-    if fault_plan is not None:
-        fault_plan.fire(idx, attempt)
-    slim, delta, payload = _pool_tile(tile)
-    return idx, slim, delta, payload
-
-
 # ---------------------------------------------------------------------------
-# Resilient scheduler
+# The tile scheduler
 # ---------------------------------------------------------------------------
 class _Task(NamedTuple):
     idx: int
@@ -360,14 +348,26 @@ class _Task(NamedTuple):
     attempt: int  # 1-based count of times this tile has been started
 
 
-def _default_retry_policy():
-    from ..jobs.retry import RetryPolicy  # local: jobs depends on us
+def _finished(done: "queue.SimpleQueue[cf.Future]") -> list:
+    """Block for one completed future, then take every other one that
+    has completed too.
 
-    return RetryPolicy()
+    The futures reach ``done`` through ``add_done_callback``.  This is
+    what ``cf.wait(..., FIRST_COMPLETED)`` returns, at O(1) per future
+    instead of O(in-flight) per wake-up, which made plans of thousands
+    of small tiles quadratic.
+    """
+    batch = [done.get()]
+    while True:
+        try:
+            batch.append(done.get_nowait())
+        except queue.Empty:
+            return batch
 
 
 class _ResilientRun:
-    """State machine for the fault-tolerant execution of one tile plan.
+    """State machine for the fault-tolerant execution of one tile plan:
+    the only single-host scheduler behind :func:`generate_tiled`.
 
     Owns the pending queue, per-tile failure counts, the failure
     budget, process-pool respawn accounting and backend degradation.
@@ -377,7 +377,7 @@ class _ResilientRun:
     """
 
     def __init__(self, generator, noise, plan, backend, workers, policy,
-                 fault_plan, out, skip, on_tile, agg, writer=None):
+                 fault_plan, out, skip, on_tile):
         self.generator = generator
         self.noise = noise
         self.plan = plan
@@ -385,11 +385,11 @@ class _ResilientRun:
         self.policy = policy
         self.fault_plan = fault_plan
         self.out = out
-        self.writer = writer  # async store writeback (out is None then)
+        self.writer = None  # async store writeback (out is None then)
         self.shape = (plan.total_nx, plan.total_ny)
         self.on_tile = on_tile
-        self.agg = agg
-        tiles = plan.tiles()
+        self.agg: dict = {}  # run-level summary of the tiles' provenance
+        self.tiles = tiles = plan.tiles()
         self.skipped = frozenset(int(i) for i in (skip or ()))
         unknown = [i for i in self.skipped if not 0 <= i < len(tiles)]
         if unknown:
@@ -407,8 +407,7 @@ class _ResilientRun:
         self.respawns = 0
         self.degraded_to: Optional[str] = None
         self.busy_s = 0.0
-        self.cache_delta = {"hits": 0, "misses": 0}
-        self.saw_worker_delta = False
+        self.cache_delta = {"hits": 0, "misses": 0}  # process workers'
         self.sweep = noise  # the noise the serial sweep read, if any
         self.backend_chain = {
             "process": ["process", "thread", "serial"],
@@ -509,28 +508,26 @@ class _ResilientRun:
 
     def _run_thread(self) -> None:
         tracing = obs.enabled()
+        done: "queue.SimpleQueue[cf.Future]" = queue.SimpleQueue()
         with cf.ThreadPoolExecutor(max_workers=self.workers) as pool:
+            inflight: Dict[cf.Future, _Task] = {}
 
-            def submit(task: _Task):
+            def submit(task: _Task) -> None:
                 ns = time.perf_counter_ns() if tracing else None
-                return pool.submit(self._thread_tile, task, ns)
+                fut = pool.submit(self._thread_tile, task, ns)
+                inflight[fut] = task
+                fut.add_done_callback(done.put)
 
-            inflight = {}
             while self.pending:
-                task = self.pending.popleft()
-                inflight[submit(task)] = task
+                submit(self.pending.popleft())
             while inflight:
-                done, _ = cf.wait(
-                    list(inflight), return_when=cf.FIRST_COMPLETED
-                )
-                for fut in done:
+                for fut in _finished(done):
                     task = inflight.pop(fut)
                     try:
                         heights, prov, dt = fut.result()
                     except Exception as exc:
                         self._record_failure(task, exc)
-                        retry = task._replace(attempt=task.attempt + 1)
-                        inflight[submit(retry)] = retry
+                        submit(task._replace(attempt=task.attempt + 1))
                         continue
                     self.busy_s += dt
                     self._place(task.idx, task.tile, heights)
@@ -568,18 +565,22 @@ class _ResilientRun:
                 )
                 broken = False
                 inflight: Dict[cf.Future, _Task] = {}
+                # one queue per pool: a broken pool's doomed futures
+                # never reach the next pool's loop
+                done: "queue.SimpleQueue[cf.Future]" = queue.SimpleQueue()
                 try:
 
                     def submit(task: _Task) -> bool:
                         try:
                             fut = pool.submit(
-                                _pool_resilient_tile,
+                                _pool_tile,
                                 (task.idx, task.tile, task.attempt),
                             )
                         except cf.BrokenExecutor:
                             self.pending.append(task)
                             return False
                         inflight[fut] = task
+                        fut.add_done_callback(done.put)
                         return True
 
                     while self.pending:
@@ -587,13 +588,10 @@ class _ResilientRun:
                             broken = True
                             break
                     while inflight:
-                        done, _ = cf.wait(
-                            list(inflight), return_when=cf.FIRST_COMPLETED
-                        )
-                        for fut in done:
+                        for fut in _finished(done):
                             task = inflight.pop(fut)
                             try:
-                                _idx, slim, delta, payload = fut.result()
+                                slim, delta, payload = fut.result()
                             except cf.BrokenExecutor:
                                 broken = True
                                 self.pending.append(
@@ -611,21 +609,13 @@ class _ResilientRun:
                             tile = task.tile
                             ix = tile.x0 - self.plan.origin_x
                             iy = tile.y0 - self.plan.origin_y
+                            values = view[ix:ix + tile.nx, iy:iy + tile.ny]
                             if self.writer is not None:
                                 # copy out of the shared buffer before
                                 # handing over: the segment outlives no
                                 # respawn and workers may rewrite it
-                                self.writer.submit(
-                                    task.idx, ix, iy,
-                                    np.array(view[ix:ix + tile.nx,
-                                                  iy:iy + tile.ny]),
-                                )
-                            else:
-                                self.out[ix:ix + tile.nx,
-                                         iy:iy + tile.ny] = (
-                                    view[ix:ix + tile.nx, iy:iy + tile.ny]
-                                )
-                            self.saw_worker_delta = True
+                                values = np.array(values)
+                            self._place(task.idx, tile, values)
                             self.cache_delta["hits"] += delta["hits"]
                             self.cache_delta["misses"] += delta["misses"]
                             if payload is not None and recorder.enabled:
@@ -697,16 +687,14 @@ def generate_tiled(
         Pool size for the parallel backends (default
         :func:`default_workers`).
     retry:
-        A :class:`repro.jobs.RetryPolicy` enabling the resilient
-        scheduler: per-tile retries with deterministic backoff, a
-        run-wide failure budget, process-pool respawn on worker death,
-        and process → thread → serial degradation.  ``None`` (with all
-        the keywords below unset) keeps the zero-overhead plain paths.
+        The :class:`repro.jobs.RetryPolicy` of the run's scheduler:
+        per-tile retries with deterministic backoff, a run-wide failure
+        budget, process-pool respawn on worker death, and process →
+        thread → serial degradation.  ``None`` means the default
+        ``RetryPolicy()`` (3 attempts per tile).
     fault_plan:
         A :class:`repro.jobs.FaultPlan` fired before each tile attempt
-        (testing/debugging aid; implies the resilient scheduler with
-        default :class:`~repro.jobs.retry.RetryPolicy` when ``retry``
-        is not given — as do ``out``, ``skip`` and ``on_tile``).
+        (testing/debugging aid).
     out:
         Preallocated output of shape ``(plan.total_nx, plan.total_ny)``
         and the generator's dtype (float64 unless the generator opts
@@ -752,7 +740,8 @@ def generate_tiled(
     Raises
     ------
     TileFailedError, FailureBudgetExceeded, PoolRespawnLimit
-        Resilient runs only, when the retry policy's budgets are spent.
+        When the retry policy's budgets are spent; ``TileFailedError``
+        is chained to the tile's last exception.
     """
     if backend not in ("serial", "thread", "process", "dist"):
         raise ValueError(
@@ -798,7 +787,6 @@ def generate_tiled(
     # a store is recognised by its write/chunk protocol instead.
     store = out if (out is not None and hasattr(out, "write_window")
                     and hasattr(out, "chunk_shape")) else None
-    writer = None
     gen_dtype = _generator_dtype(generator)
     if store is not None:
         store.validate_plan(plan)
@@ -816,110 +804,38 @@ def generate_tiled(
             )
     else:
         out = np.empty((plan.total_nx, plan.total_ny), dtype=gen_dtype)
-    tiles = plan.tiles()
-    stats_before = plan_cache.stats()
-    agg: dict = {}
-    cache_delta: Optional[Dict[str, int]] = None
+    if retry is None:
+        from ..jobs.retry import RetryPolicy  # local: jobs depends on us
+
+        retry = RetryPolicy()
     n = workers or default_workers()
     pool_size = 1 if backend == "serial" else n
-    busy_s = 0.0  # summed per-tile wall time (worker-utilization input)
-    resilient = (
-        retry is not None or fault_plan is not None
-        or skip is not None or on_tile is not None
-        or store is not None
-    )
-    run: Optional[_ResilientRun] = None
-    sweep: BlockNoise = noise
-
-    def place(tile: Tile, values: np.ndarray) -> None:
-        ix = tile.x0 - plan.origin_x
-        iy = tile.y0 - plan.origin_y
-        out[ix : ix + tile.nx, iy : iy + tile.ny] = values
-
+    run = _ResilientRun(generator, noise, plan, backend, n, retry,
+                        fault_plan, out, skip, on_tile)
+    stats_before = plan_cache.stats()
     run_span = obs.trace("executor.run", {
-        "backend": backend, "tiles": len(tiles), "workers": pool_size,
+        "backend": backend, "tiles": len(run.tiles), "workers": pool_size,
     } if obs.enabled() else None)
     with run_span:
-        if resilient:
-            if store is not None:
-                writer = store.writer()
-            run = _ResilientRun(
-                generator, noise, plan, backend, n,
-                retry if retry is not None else _default_retry_policy(),
-                fault_plan, out, skip, on_tile, agg, writer=writer,
-            )
-            try:
-                run.run()
-            except BaseException:
-                if writer is not None:
-                    # drain what's queued but don't mask the original
-                    # error with a secondary write failure
-                    writer.close(raise_pending=False)
-                raise
-            if writer is not None:
-                writer.close()  # re-raises a deferred write error
-            busy_s = run.busy_s
-            sweep = run.sweep
-            if run.saw_worker_delta:
-                cache_delta = run.cache_delta
-        elif backend == "serial":
-            sweep = _sweep_noise(generator, noise, tiles)
-            for t in tiles:
-                heights, prov, dt = _traced_tile(generator, sweep, t)
-                busy_s += dt
-                place(t, heights)
-                del heights  # free the tile before the next one is computed
-                _merge_tile_provenance(agg, _slim_provenance(prov))
-        elif backend == "thread":
-            with cf.ThreadPoolExecutor(max_workers=n) as pool:
-                tracing = obs.enabled()
-                futures = [
-                    pool.submit(_traced_tile, generator, noise, t,
-                                time.perf_counter_ns() if tracing else None)
-                    for t in tiles
-                ]
-                for t, fut in zip(tiles, futures):
-                    heights, prov, dt = fut.result()
-                    busy_s += dt
-                    place(t, heights)
-                    _merge_tile_provenance(agg, _slim_provenance(prov))
-        else:  # process
-            shm = shared_memory.SharedMemory(create=True, size=out.nbytes)
-            try:
-                view = np.ndarray(out.shape, dtype=out.dtype, buffer=shm.buf)
-                with cf.ProcessPoolExecutor(
-                    max_workers=n,
-                    initializer=_pool_init,
-                    initargs=(generator, noise, shm.name, out.shape,
-                              (plan.origin_x, plan.origin_y),
-                              obs.enabled()),
-                ) as pool:
-                    cache_delta = {"hits": 0, "misses": 0}
-                    recorder = obs.get_recorder()
-                    for slim, delta, payload in pool.map(_pool_tile, tiles):
-                        _merge_tile_provenance(agg, slim)
-                        cache_delta["hits"] += delta["hits"]
-                        cache_delta["misses"] += delta["misses"]
-                        if payload is not None and recorder.enabled:
-                            # tile order is fixed by the plan, so the
-                            # merged totals are deterministic
-                            stats = payload.get("span_stats", {})
-                            tile_row = stats.get("executor.tile")
-                            if tile_row:
-                                busy_s += tile_row[1] / 1e9
-                            recorder.merge(payload)
-                out[:] = view
-                del view  # release the buffer before closing the mapping
-            finally:
-                shm.close()
-                shm.unlink()
+        if store is not None:
+            run.writer = store.writer()
+        try:
+            run.run()
+        except BaseException:
+            if run.writer is not None:
+                # drain what's queued but don't mask the original
+                # error with a secondary write failure
+                run.writer.close(raise_pending=False)
+            raise
+        if run.writer is not None:
+            run.writer.close()  # re-raises a deferred write error
 
     big_grid = grid.with_shape(plan.total_nx, plan.total_ny)
     origin = (plan.origin_x * grid.dx, plan.origin_y * grid.dy)
     provenance = {
         "method": "tiled",
         "backend": backend,
-        "tiles": len(tiles),
+        "tiles": len(run.tiles),
         "noise_seed": noise.seed,
     }
     engine = getattr(generator, "engine", None)
@@ -939,41 +855,29 @@ def generate_tiled(
             obs.set_gauge("executor.halo_overhead",
                           provenance["halo_overhead"])
     stats_after = plan_cache.stats()
-    local_delta = {
-        "hits": stats_after.hits - stats_before.hits,
-        "misses": stats_after.misses - stats_before.misses,
+    # The parent's cache delta covers tiles computed in this process
+    # (serial/thread, or after degradation), the summed worker deltas
+    # the process-pool portion.
+    provenance["plan_cache"] = {
+        "hits": stats_after.hits - stats_before.hits + run.cache_delta["hits"],
+        "misses": (stats_after.misses - stats_before.misses
+                   + run.cache_delta["misses"]),
     }
-    if resilient:
-        # Degradation can mix backends in one run: the global cache
-        # delta covers the serial/thread portion, the summed worker
-        # deltas the process portion.
-        provenance["plan_cache"] = {
-            "hits": local_delta["hits"] + (cache_delta or {}).get("hits", 0),
-            "misses": (local_delta["misses"]
-                       + (cache_delta or {}).get("misses", 0)),
-        }
-        assert run is not None
-        provenance["resilience"] = {
-            "retries": run.retries,
-            "respawns": run.respawns,
-            "degraded_to": run.degraded_to,
-            "tiles_skipped": len(run.skipped),
-        }
-    elif backend in ("serial", "thread"):
-        provenance["plan_cache"] = local_delta
-    elif cache_delta is not None:
-        # Sum of the workers' own cache deltas: misses count each
-        # worker's warmup, hits the cross-tile reuse inside workers.
-        provenance["plan_cache"] = cache_delta
-    provenance.update(agg)
-    if isinstance(sweep, SweepNoise):
-        provenance["noise_cache"] = dict(sweep.stats,
-                                         cap_bytes=sweep.cap_bytes)
-        obs.set_gauge("rng.cache_peak_bytes", sweep.stats["peak_bytes"])
+    provenance["resilience"] = {
+        "retries": run.retries,
+        "respawns": run.respawns,
+        "degraded_to": run.degraded_to,
+        "tiles_skipped": len(run.skipped),
+    }
+    provenance.update(run.agg)
+    if isinstance(run.sweep, SweepNoise):
+        provenance["noise_cache"] = dict(run.sweep.stats,
+                                         cap_bytes=run.sweep.cap_bytes)
+        obs.set_gauge("rng.cache_peak_bytes", run.sweep.stats["peak_bytes"])
     if obs.enabled() and run_span.duration_s > 0.0:
         obs.set_gauge(
             "executor.worker_utilization",
-            busy_s / (pool_size * run_span.duration_s),
+            run.busy_s / (pool_size * run_span.duration_s),
         )
     if store is not None:
         provenance["store"] = store.progress_summary()

@@ -25,7 +25,6 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..core.api import absorb_legacy_positionals
 from ..core.grid import Grid2D
 from ..core.surface import Surface
 
@@ -160,9 +159,9 @@ def extract_profile(
     surface: Any,
     start: Tuple[float, float],
     end: Tuple[float, float],
-    *legacy: Any,
-    tx_height: Optional[float] = None,
-    rx_height: Optional[float] = None,
+    *,
+    tx_height: float,
+    rx_height: float,
     n_samples: int = 256,
     grid: Optional[Grid2D] = None,
     origin: Tuple[float, float] = (0.0, 0.0),
@@ -175,22 +174,9 @@ def extract_profile(
     spaced points (inclusive of both ends); the result's ``provenance``
     carries the source's record plus the extraction geometry.
 
-    ``tx_height``/``rx_height`` are keyword-only; the seed-era
-    positional shape ``extract_profile(s, a, b, tx, rx[, n])`` still
-    works with a :class:`DeprecationWarning`.
+    ``tx_height``/``rx_height`` and everything after them are
+    keyword-only.
     """
-    if legacy:
-        absorbed = absorb_legacy_positionals(
-            "extract_profile", legacy,
-            ("tx_height", "rx_height", "n_samples"),
-        )
-        tx_height = absorbed.get("tx_height", tx_height)
-        rx_height = absorbed.get("rx_height", rx_height)
-        n_samples = absorbed.get("n_samples", n_samples)
-    if tx_height is None or rx_height is None:
-        raise TypeError(
-            "extract_profile() requires tx_height= and rx_height="
-        )
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     surface = _as_surface(surface, grid, origin)

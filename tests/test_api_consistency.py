@@ -214,24 +214,14 @@ def test_generate_window_accepts_unified_keywords(name):
     assert a.provenance.get("run") == "a", name
 
 
-def test_legacy_positional_generate_warns_but_matches():
-    """Old positional call shapes still work, with a DeprecationWarning."""
-    import numpy as np
-
-    from repro.core.api import split_result
-
-    for name, gen in GENERATORS.items():
-        new = gen.generate(seed=4)
-        with pytest.warns(DeprecationWarning):
-            old = gen.generate(4, None)  # noise positionally, legacy shape
-        assert np.array_equal(split_result(old)[0],
-                              split_result(new)[0]), name
-
-
 def test_legacy_positional_overflow_rejected():
-    gen = GENERATORS["ConvolutionGenerator"]
-    with pytest.raises(TypeError):
-        gen.generate(4, None, "wrap", False, "surplus")
+    """Everything after ``seed`` is keyword-only: any positional argument
+    after it, one or many, is a TypeError on every generator."""
+    for gen in GENERATORS.values():
+        with pytest.raises(TypeError):
+            gen.generate(4, None)  # noise positionally
+        with pytest.raises(TypeError):
+            gen.generate(4, None, "wrap", False, "surplus")
 
 
 def test_height_field_behaves_like_ndarray():

@@ -22,9 +22,9 @@ import pytest
 from repro.core.convolution import ConvolutionGenerator
 from repro.core.grid import Grid2D
 from repro.core.rng import BlockNoise
-from repro.core.spec import GenerationSpec
+from repro.core.spec import GenerationSpec, SpecError
 from repro.core.spectra import GaussianSpectrum
-from repro.dist import Coordinator, LeaseLedger, RunSpec, generate_dist
+from repro.dist import Coordinator, LeaseLedger, generate_dist
 from repro.dist import protocol
 from repro.dist.worker import run_worker
 from repro.io.store import SurfaceStore
@@ -120,38 +120,44 @@ class TestProtocol:
 # run spec
 # ---------------------------------------------------------------------------
 class TestRunSpec:
+    """The run spec as the dist wire carries it: ``GenerationSpec``
+    through ``to_wire``/``from_wire``."""
+
     def _spec(self, **over):
         kw = dict(
-            rebuild={"kind": "convolution", "spectrum": {"kind": "gaussian"}},
-            noise_seed=3,
+            generator={"kind": "convolution",
+                       "spectrum": {"kind": "gaussian"},
+                       "grid": {"nx": 64, "ny": 64, "lx": 64.0, "ly": 64.0}},
+            seed=3,
             plan={"total_nx": 64, "total_ny": 64,
                   "tile_nx": 32, "tile_ny": 32},
             store_path="/tmp/s",
             access="shared",
         )
         kw.update(over)
-        return RunSpec(**kw)
+        return GenerationSpec(**kw)
 
     def test_wire_round_trip(self):
         spec = self._spec(obs=True, faults=[{"tile": 1, "kind": "raise"}])
-        again = RunSpec.from_wire(spec.to_wire())
+        again = GenerationSpec.from_wire(spec.to_wire())
         assert again == spec
 
     def test_ship_mode_needs_no_store(self):
         spec = self._spec(access="ship", store_path=None)
-        assert RunSpec.from_wire(spec.to_wire()).store_path is None
+        assert GenerationSpec.from_wire(spec.to_wire()).store_path is None
 
     def test_shared_requires_store_path(self):
-        with pytest.raises(ValueError, match="store path"):
-            self._spec(store_path=None)
+        wire = self._spec(access="ship", store_path=None).to_wire()
+        with pytest.raises(SpecError, match="store path"):
+            GenerationSpec.from_wire({**wire, "access": "shared"})
 
     def test_bad_access_mode(self):
-        with pytest.raises(ValueError, match="access"):
+        with pytest.raises(SpecError, match="access"):
             self._spec(access="carrier-pigeon")
 
     def test_malformed_wire_payload(self):
-        with pytest.raises(ValueError, match="malformed"):
-            RunSpec.from_wire({"rebuild": {"kind": "x"}})
+        with pytest.raises(SpecError, match="malformed"):
+            GenerationSpec.from_wire({"rebuild": {"kind": "x"}})
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +418,10 @@ class TestDistEndToEnd:
         store = _store_for(tmp_path, "resume", 128, 32, grid)
         # first pass: one in-process worker computes half the tiles
         half = len(plan) // 2
-        spec = RunSpec(rebuild=rebuild, noise_seed=4,
-                       plan={"total_nx": 128, "total_ny": 128,
-                             "tile_nx": 32, "tile_ny": 32},
-                       store_path=str(store.path), access="shared")
+        spec = GenerationSpec(generator=rebuild, seed=4,
+                              plan={"total_nx": 128, "total_ny": 128,
+                                    "tile_nx": 32, "tile_ny": 32},
+                              store_path=str(store.path), access="shared")
         coord = Coordinator(spec, plan, store, lease_timeout_s=30.0)
         host, port = coord.start()
         t = threading.Thread(
@@ -450,10 +456,10 @@ class TestDistEndToEnd:
         gen, rebuild, noise, plan, grid = _problem(96, 32, seed=6)
         ref = generate_tiled(gen, noise, plan, backend="serial")
         store = _store_for(tmp_path, "shipmode", 96, 32, grid)
-        spec = RunSpec(rebuild=rebuild, noise_seed=6,
-                       plan={"total_nx": 96, "total_ny": 96,
-                             "tile_nx": 32, "tile_ny": 32},
-                       access="ship", store_path=None)
+        spec = GenerationSpec(generator=rebuild, seed=6,
+                              plan={"total_nx": 96, "total_ny": 96,
+                                    "tile_nx": 32, "tile_ny": 32},
+                              access="ship", store_path=None)
         coord = Coordinator(spec, plan, store, n_shards=2)
         host, port = coord.start()
         threads = [
@@ -490,10 +496,10 @@ class TestDistEndToEnd:
     def test_protocol_mismatch_is_refused(self, tmp_path):
         gen, rebuild, noise, plan, grid = _problem(64, 32, seed=2)
         store = _store_for(tmp_path, "mismatch", 64, 32, grid)
-        spec = RunSpec(rebuild=rebuild, noise_seed=2,
-                       plan={"total_nx": 64, "total_ny": 64,
-                             "tile_nx": 32, "tile_ny": 32},
-                       store_path=str(store.path), access="shared")
+        spec = GenerationSpec(generator=rebuild, seed=2,
+                              plan={"total_nx": 64, "total_ny": 64,
+                                    "tile_nx": 32, "tile_ny": 32},
+                              store_path=str(store.path), access="shared")
         coord = Coordinator(spec, plan, store)
         host, port = coord.start()
         try:

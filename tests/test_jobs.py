@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.api import split_result
 from repro.core.convolution import ConvolutionGenerator
 from repro.core.grid import Grid2D
 from repro.core.rng import BlockNoise
@@ -69,8 +70,13 @@ def plan():
 
 @pytest.fixture(scope="module")
 def reference(gen, noise, plan):
-    """The uninterrupted serial run every resilient run must reproduce."""
-    return generate_tiled(gen, noise, plan, backend="serial").heights
+    """The surface every run must reproduce, built outside the tile
+    scheduler: one solo ``generate_window`` call per tile."""
+    out = np.empty((plan.total_nx, plan.total_ny))
+    for t in plan.tiles():
+        out[t.x0:t.x1, t.y0:t.y1] = split_result(
+            gen.generate_window(noise, t.x0, t.y0, t.nx, t.ny))[0]
+    return out
 
 
 class TestRetryPolicy:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.api import split_result
 from repro.core.convolution import ConvolutionGenerator
 from repro.core.grid import Grid2D
 from repro.core.inhomogeneous import InhomogeneousGenerator
@@ -10,7 +11,11 @@ from repro.core.rng import BlockNoise, SweepNoise
 from repro.core.spectra import ExponentialSpectrum, GaussianSpectrum
 from repro.fields.parameter_map import PlateLattice
 from repro.jobs import FaultPlan, FaultSpec, RetryPolicy
-from repro.parallel.executor import default_workers, generate_tiled
+from repro.parallel.executor import (
+    TileFailedError,
+    default_workers,
+    generate_tiled,
+)
 from repro.parallel.streaming import StripStream, assemble_strips, stream_strips
 from repro.parallel.tiles import Tile, TilePlan
 
@@ -82,15 +87,27 @@ class TestTilePlan:
             plan.halo_samples((0, 9))
 
 
+def _solo_tiles(gen, noise, plan):
+    """The plan's surface built outside the tile scheduler: one solo
+    ``generate_window`` call per tile."""
+    out = np.empty((plan.total_nx, plan.total_ny))
+    for t in plan.tiles():
+        out[t.x0 - plan.origin_x:t.x1 - plan.origin_x,
+            t.y0 - plan.origin_y:t.y1 - plan.origin_y] = split_result(
+                gen.generate_window(noise, t.x0, t.y0, t.nx, t.ny))[0]
+    return out
+
+
 class TestBackends:
     def test_serial_thread_process_identical(self, gen):
         bn = BlockNoise(seed=2, block=48)
         plan = TilePlan(total_nx=96, total_ny=80, tile_nx=40, tile_ny=30)
-        s = generate_tiled(gen, bn, plan, backend="serial")
-        t = generate_tiled(gen, bn, plan, backend="thread", workers=3)
-        assert np.array_equal(s.heights, t.heights)
-        p = generate_tiled(gen, bn, plan, backend="process", workers=2)
-        assert np.array_equal(s.heights, p.heights)
+        ref = _solo_tiles(gen, bn, plan)
+        for backend, workers in (("serial", None), ("thread", 3),
+                                 ("process", 2)):
+            s = generate_tiled(gen, bn, plan, backend=backend,
+                               workers=workers)
+            assert s.heights.tobytes() == ref.tobytes(), backend
 
     def test_different_plans_agree_to_rounding(self, gen):
         bn = BlockNoise(seed=3, block=32)
@@ -242,6 +259,58 @@ class TestSweepNoiseInExecutor:
         p = generate_tiled(_NeedsPlainNoise(gen), sweep, self.plan,
                            backend="process", workers=2)
         assert p.heights.tobytes() == ref.heights.tobytes()
+
+
+class _AlwaysFailsAt(_Wrapped):
+    def __init__(self, inner, at):
+        super().__init__(inner)
+        self.at = at
+
+    def generate_window(self, noise, x0, y0, nx, ny):
+        if (x0, y0) == self.at:
+            raise ValueError("this tile never computes")
+        return self.inner.generate_window(noise, x0, y0, nx, ny)
+
+
+class TestOneScheduler:
+    """Every single-host run goes through the one fault-tolerant
+    scheduler, whatever keywords the caller passes."""
+
+    plan = TilePlan(total_nx=96, total_ny=80, tile_nx=40, tile_ny=30)
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_plain_call_retries_a_failing_tile(self, gen, backend):
+        bn = BlockNoise(seed=4, block=16)
+        tile = self.plan.tiles()[2]
+        flaky = _FailsOnceAfterReading(gen, (tile.x0, tile.y0))
+        s = generate_tiled(flaky, bn, self.plan, backend=backend, workers=2)
+        assert s.provenance["resilience"]["retries"] == 1
+        assert s.heights.tobytes() == _solo_tiles(gen, bn, self.plan).tobytes()
+
+    def test_plain_call_chains_the_last_error(self, gen):
+        tile = self.plan.tiles()[1]
+        broken = _AlwaysFailsAt(gen, (tile.x0, tile.y0))
+        with pytest.raises(TileFailedError) as info:
+            generate_tiled(broken, BlockNoise(seed=4), self.plan)
+        assert info.value.failures == RetryPolicy().max_attempts
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_every_backend_reports_one_provenance_shape(self, inhom_gen):
+        bn = BlockNoise(seed=5, block=40)
+        keys = {}
+        for backend in ("serial", "thread", "process"):
+            prov = generate_tiled(inhom_gen, bn, self.plan, backend=backend,
+                                  workers=2).provenance
+            assert prov["resilience"] == {"retries": 0, "respawns": 0,
+                                          "degraded_to": None,
+                                          "tiles_skipped": 0}
+            pc = prov["plan_cache"]
+            assert pc["hits"] + pc["misses"] > 0
+            # noise reuse is a serial-sweep feature (provenance
+            # noise_cache); everything else is shared
+            keys[backend] = set(prov) - {"noise_cache"}
+        assert {"plan_cache", "resilience", "regions"} <= keys["serial"]
+        assert keys["serial"] == keys["thread"] == keys["process"]
 
 
 class TestBackendsFftEngine:

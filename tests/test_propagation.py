@@ -130,12 +130,6 @@ class TestProfile:
         with pytest.raises(TypeError, match="tx_height"):
             extract_profile(flat_surface, (0.0, 0.0), (10.0, 0.0))
 
-    def test_extract_legacy_positional_warns(self, flat_surface):
-        with pytest.warns(DeprecationWarning, match="tx_height, rx_height"):
-            p = extract_profile(flat_surface, (100.0, 256.0),
-                                (1900.0, 256.0), 5.0, 5.0)
-        assert p.tx_height == 5.0 and p.rx_height == 5.0
-
     def test_extract_preserves_provenance(self, hill_surface):
         hill_surface.provenance["seed"] = 42
         p = extract_profile(hill_surface, (100.0, 256.0), (1900.0, 256.0),

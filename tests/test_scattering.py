@@ -213,26 +213,6 @@ class TestUnifiedApi:
             run_ensemble([np.zeros(64)], k=K, theta_i=THETA_I,
                          theta_s=np.array([0.0]))
 
-    def test_legacy_positional_shape_warns_and_matches(self):
-        fields, dx = self._fields(3)
-        thetas = np.array([THETA_I])
-        with pytest.warns(DeprecationWarning, match="dx, k, theta_i"):
-            legacy = run_ensemble(fields, dx, K, THETA_I, thetas)
-        modern = run_ensemble(fields, dx=dx, k=K, theta_i=THETA_I,
-                              theta_s=thetas)
-        assert legacy.mean_amplitude == pytest.approx(modern.mean_amplitude)
-
-    def test_curve_legacy_positional_shape_warns(self):
-        n, length = 256, 25.0
-        gen = ProfileGenerator(Gaussian1D(h=0.05, cl=2.0), n, length)
-
-        def make(h, seed):
-            return np.zeros(n) if h == 0.0 else gen.generate(seed=seed)
-
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            coherent_attenuation_curve(make, [0.05], length / n, K, THETA_I,
-                                       4)
-
     def test_curve_accepts_heightfield_generator(self):
         n, length = 256, 25.0
 

@@ -203,17 +203,6 @@ class TestDerivedViews:
         assert gen.spectrum.to_dict()["kind"] == "gaussian"
 
 
-class TestRunSpecShim:
-    def test_runspec_warns_and_delegates(self):
-        from repro.dist.spec import RunSpec
-
-        wire = conv_spec(store_path="/s").to_wire()
-        with pytest.warns(DeprecationWarning, match="GenerationSpec"):
-            spec = RunSpec.from_wire(wire)
-        assert spec.noise_seed == 5
-        assert spec.rebuild["kind"] == "convolution"
-
-
 BASE_FLAGS = [
     "--spectrum", "gaussian", "--h", "1.0", "--cl", "8",
     "--n", "64", "--domain", "64", "--seed", "5",

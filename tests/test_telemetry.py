@@ -34,8 +34,9 @@ from repro.cli import main as cli_main
 from repro.core.convolution import ConvolutionGenerator
 from repro.core.grid import Grid2D
 from repro.core.rng import BlockNoise
+from repro.core.spec import GenerationSpec
 from repro.core.spectra import GaussianSpectrum
-from repro.dist import Coordinator, RunSpec, generate_dist, protocol
+from repro.dist import Coordinator, generate_dist, protocol
 from repro.dist.status import (
     EWMA_ALPHA,
     STALE_HEARTBEATS,
@@ -430,11 +431,11 @@ class TestLiveTelemetry:
         # one delayed tile keeps the run in flight long enough that the
         # mid-run scrapes below observe real progress deterministically
         slow = FaultSpec(tile=15, attempt=1, kind="delay", delay_s=0.5)
-        spec = RunSpec(rebuild=rebuild, noise_seed=21,
-                       plan={"total_nx": 128, "total_ny": 128,
-                             "tile_nx": 32, "tile_ny": 32},
-                       store_path=str(store.path), access="shared",
-                       faults=[slow.to_dict()])
+        spec = GenerationSpec(generator=rebuild, seed=21,
+                              plan={"total_nx": 128, "total_ny": 128,
+                                    "tile_nx": 32, "tile_ny": 32},
+                              store_path=str(store.path), access="shared",
+                              faults=[slow.to_dict()])
         events_dir = os.environ.get("REPRO_EVENT_LOG_DIR", str(tmp_path))
         events_path = os.path.join(events_dir, "telemetry_events.jsonl")
         coord = Coordinator(spec, plan, store, lease_timeout_s=60.0,
